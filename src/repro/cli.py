@@ -48,12 +48,13 @@ Commands
 
 Every command accepts ``--seed`` for reproducibility and ``--output`` to write
 the main artifact to a file instead of stdout.  ``orient``, ``color``,
-``stream``, ``stream-multi`` and ``experiment`` also accept ``--workers N`` —
-host-side parallelism for the superstep engine (Lemma 2.1 part orientation,
-Lemma 2.2 part coloring, batch-parallel flip repair, cross-tenant ticks);
-results are identical for any worker count — and ``--trace out.json``, which
-records host-side spans for the run and writes a Perfetto-loadable Chrome
-trace (results are identical with tracing on or off).
+``stream-multi`` and ``experiment`` also accept ``--workers N`` — host-side
+parallelism for the superstep engine (Lemma 2.1 part orientation, Lemma 2.2
+part coloring, cross-tenant ticks); results are identical for any worker
+count.  These commands and ``stream`` (which repairs each batch serially)
+accept ``--trace out.json``, which records host-side spans for the run and
+writes a Perfetto-loadable Chrome trace (results are identical with tracing
+on or off).
 
 The compute-heavy commands (``orient``, ``color``, ``layers``, ``stream``,
 ``stream-multi``, ``experiment``) accept ``--kernels {pure,numpy}`` to pick
@@ -221,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument(
         "--quiet", action="store_true", help="suppress the human-readable summary on stderr"
     )
-    _add_workers_argument(stream_parser)
     _add_kernels_argument(stream_parser)
     _add_trace_argument(stream_parser)
 
@@ -400,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         trace = generate_trace(args.family, args.num_vertices, seed=args.seed, **params)
         tracer = _make_tracer(args)
         service = StreamingService(
-            trace.initial, delta=args.delta, seed=args.seed, workers=args.workers, tracer=tracer
+            trace.initial, delta=args.delta, seed=args.seed, tracer=tracer
         )
         header = (
             "batch inserts deletes flips recolors rebuilds compactions "
@@ -416,7 +416,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{report.max_outdegree} {report.num_colors}"
             )
         service.verify()
-        service.close()
         _export_trace(tracer, args)
         _emit("\n".join(lines), args.output)
         summary = service.summary

@@ -14,7 +14,8 @@ one of three backends:
 
 * ``serial`` — a plain loop in the calling process (the reference semantics);
 * ``thread`` — :class:`concurrent.futures.ThreadPoolExecutor`, for tasks that
-  mutate *disjoint* slices of shared state (batch-parallel flip repair);
+  mutate *disjoint* slices of shared state (the stream engine's per-tenant
+  tick tasks);
 * ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`, for
   CPU-bound pure-Python tasks on picklable inputs (Lemma 2.1 part
   orientation).  Task callables must be module-level functions.
@@ -55,9 +56,8 @@ IN_PROCESS = (SERIAL, THREAD)
 """Backends that run tasks inside the calling process.
 
 Stages that mutate *shared* state through provably disjoint slices (e.g. the
-batch flip-repair out-table) are only correct on these; stages that ship
-their state explicitly (orientation parts, out-table shards) run on any
-backend.
+stream engine's tenant services) are only correct on these; stages that ship
+their state explicitly (orientation and coloring parts) run on any backend.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -129,11 +129,11 @@ class ParallelExecutor:
         self.backend = backend
         self.serial_work_threshold = serial_work_threshold
         # Pools are created lazily on first parallel map and then reused —
-        # callers like the streaming service map once per batch, and paying
-        # pool startup/teardown per call would swamp small batches.
+        # callers like the stream engine map once per tick, and paying pool
+        # startup/teardown per call would swamp small ticks.
         self._pools: dict[str, ThreadPoolExecutor | ProcessPoolExecutor] = {}
         # Health counters, maintained whether or not tracing is attached —
-        # `WorkerPool.stats()` reads them when diagnosing failures.
+        # `stats()` reports them when diagnosing failures.
         self.tasks_run = 0
         self.respawns = 0
         self._tracer = NULL_TRACER
@@ -146,7 +146,7 @@ class ParallelExecutor:
         """Workers currently alive across this executor's lazy pools.
 
         Best-effort introspection of the stdlib pool internals (0 when no
-        pool has been spun up yet) — used by ``WorkerPool.stats()``.
+        pool has been spun up yet) — reported by :meth:`stats`.
         """
         count = 0
         for pool in self._pools.values():
@@ -158,6 +158,20 @@ class ParallelExecutor:
             if threads is not None:
                 count += sum(1 for thread in threads if thread.is_alive())
         return count
+
+    def stats(self) -> dict:
+        """Health snapshot for diagnostics (cheap, side-effect free).
+
+        Included in :meth:`repro.stream.engine.StreamEngine.verify` error
+        messages so executor-related failures are diagnosable from the
+        exception alone.
+        """
+        return {
+            "workers": self.workers,
+            "live_workers": self.live_workers(),
+            "tasks_run": self.tasks_run,
+            "respawns": self.respawns,
+        }
 
     def resolve_backend(
         self,

@@ -16,12 +16,14 @@ to
     only task descriptors (a :class:`~repro.engine.shm.ShardHandle` plus a
     part index) and its deltas (flip lists, result columns).*
 
-All three parallel consumers run on this layer: large-λ ``orient()`` part
-fan-out, Theorem 1.2 ``color()`` part fan-out, and process-backend batch
-flip repair.  The determinism contract is untouched — the serial and thread
-backends resolve the same handles to the owner's original objects
-(zero-copy), so there is exactly one code path for shard access and the
-published partition fixes every task's input regardless of backend.
+Both parallel consumers run on this layer: large-λ ``orient()`` part
+fan-out and Theorem 1.2 ``color()`` part fan-out.  Stream flip repair does
+not: it runs serially on the host (one aggregation round in the model needs
+no host-side fan-out), so the stream layer holds no pool.  The determinism
+contract is untouched — the serial and thread backends resolve the same
+handles to the owner's original objects (zero-copy), so there is exactly one
+code path for shard access and the published partition fixes every task's
+input regardless of backend.
 
 Failure semantics: a worker dying mid-superstep surfaces as a typed
 :class:`~repro.errors.WorkerCrashError` (the executor discards the broken
@@ -53,13 +55,7 @@ class WorkerPool:
         Backend for a pool-owned executor (``None`` = auto-pick).
     executor:
         Optional pre-built executor to share.  The pool then *borrows* it:
-        :meth:`close` releases only the registry, never a borrowed executor
-        (services sharing one engine-owned executor rely on this).
-    registry:
-        Optional pre-built registry to *share* (a derived pool borrowing an
-        engine-owned registry); created fresh — and owned — when omitted.
-        :meth:`close` unlinks a borrowed registry's segments only through
-        its owner, never through a borrower.
+        :meth:`close` releases only the registry, never a borrowed executor.
     """
 
     def __init__(
@@ -67,7 +63,6 @@ class WorkerPool:
         workers: int = 1,
         backend: str | None = None,
         executor: ParallelExecutor | None = None,
-        registry: ShardRegistry | None = None,
     ) -> None:
         self._owns_executor = executor is None
         self.executor = (
@@ -75,8 +70,7 @@ class WorkerPool:
             if executor is not None
             else ParallelExecutor(workers=workers, backend=backend)
         )
-        self._owns_registry = registry is None
-        self.registry = registry if registry is not None else ShardRegistry()
+        self.registry = ShardRegistry()
 
     @property
     def workers(self) -> int:
@@ -85,38 +79,26 @@ class WorkerPool:
     def instrument(self, tracer) -> None:
         """Attach a tracer to the executor and its metrics to the registry.
 
-        Safe to call on borrowed pieces: instrumenting is observation-only,
-        and re-instrumenting with the same tracer is idempotent.  ``None``
-        restores the no-op defaults.
+        Safe to call on a borrowed executor: instrumenting is
+        observation-only, and re-instrumenting with the same tracer is
+        idempotent.  ``None`` restores the no-op defaults.
         """
         self.executor.instrument(tracer)
         self.registry.instrument(None if tracer is None else tracer.metrics)
 
     def stats(self) -> dict:
-        """Health snapshot for diagnostics (cheap, side-effect free).
-
-        Included in :meth:`repro.stream.engine.StreamEngine.verify` error
-        messages so pool-related failures are diagnosable from the exception
-        alone.
-        """
+        """Health snapshot for diagnostics (cheap, side-effect free): the
+        executor's :meth:`~repro.engine.ParallelExecutor.stats` plus the
+        registry's segment and generation counts."""
         generations = self.registry.generations()
         return {
-            "workers": self.workers,
-            "live_workers": self.executor.live_workers(),
-            "tasks_run": self.executor.tasks_run,
-            "respawns": self.executor.respawns,
+            **self.executor.stats(),
             "segments": len(self.registry.segment_names()),
             "registry_keys": len(generations),
             "registry_generations": sum(generations.values()),
             "columns_republished": self.registry.columns_republished,
             "columns_carried": self.registry.columns_carried,
         }
-
-    def allocate_scope(self, prefix: str) -> str:
-        """A registry-unique key prefix, so co-resident publishers (one
-        registry per engine, one scope per tenant service) can never collide
-        on keys — the counter lives on the shared registry, not the pool."""
-        return self.registry.allocate_scope(prefix)
 
     # ------------------------------------------------------------------ #
     # Publication (delegates to the registry's typed helpers)
@@ -184,14 +166,9 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release what the pool owns: its registry's segments, its executor.
-
-        Borrowed pieces (a shared engine executor, a shared engine registry)
-        are left for their owners, so tenant-scoped derived pools can close
-        freely without tearing the engine down.
-        """
-        if self._owns_registry:
-            self.registry.close()
+        """Release what the pool owns: its registry's segments, and its
+        executor unless that was borrowed."""
+        self.registry.close()
         if self._owns_executor:
             self.executor.close()
 

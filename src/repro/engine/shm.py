@@ -171,7 +171,6 @@ class ShardRegistry:
         self._pid = os.getpid()
         self._entries: dict[str, _Entry] = {}
         self._segment_names: list[str] = []
-        self._scope_counter = 0
         self._finalizer = weakref.finalize(self, _unlink_segments, self._segment_names)
         self.metrics = NULL_METRICS
         # Plain lifetime counters (metrics-independent, surfaced by stats()).
@@ -195,16 +194,6 @@ class ShardRegistry:
         shipped versus shared in place.
         """
         self.metrics = NULL_METRICS if metrics is None else metrics
-
-    def allocate_scope(self, prefix: str) -> str:
-        """A registry-unique key prefix.
-
-        Co-resident publishers sharing one registry (one pool per engine, one
-        scope per tenant service) draw from the same counter, so their keys
-        can never collide no matter which pool object handed the scope out.
-        """
-        self._scope_counter += 1
-        return f"{prefix}{self._scope_counter}"
 
     # ------------------------------------------------------------------ #
     # Publication
@@ -690,17 +679,17 @@ def shard_graph(handle: ShardHandle, index: int):
 
 
 # ---------------------------------------------------------------------- #
-# Graph edge columns (streaming compacted snapshots, delta-aware)
+# Graph edge columns (delta-aware)
 # ---------------------------------------------------------------------- #
 
 
 def publish_graph_columns(registry: ShardRegistry, key: str, graph) -> dict[str, ShardHandle]:
     """Publish a CSR graph's canonical edge columns as per-column shards.
 
-    The streaming service calls this after every compaction: columns that
-    the compaction did not change (byte-identical ``array('l')`` content)
-    are carried at their current generation, so readers holding their
-    handles are undisturbed and only the changed columns go stale.
+    Republishing after a change carries every column whose content did not
+    change (byte-identical ``array('l')``) at its current generation, so
+    readers holding its handle are undisturbed and only the changed columns
+    go stale.
     """
     edge_u, edge_v = graph.edge_endpoints
     return registry.publish_columns(
@@ -722,8 +711,12 @@ def graph_column(handle: ShardHandle, name: str) -> array:
 
 
 # ---------------------------------------------------------------------- #
-# Out-table shards (batch-parallel flip repair, process backend)
+# Out-table shards
 # ---------------------------------------------------------------------- #
+#
+# No pipeline publishes out-table shards or graph columns; both helpers stay
+# because ``perfbench/spans.py`` names ``WorkerPool.publish_out_shards`` and
+# ``WorkerPool.publish_graph_columns`` as span targets.
 
 
 def publish_out_shards(registry: ShardRegistry, key: str, shards) -> ShardHandle:

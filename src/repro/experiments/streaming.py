@@ -54,13 +54,13 @@ def run_streaming_experiment(
 
     ``tracer`` (a :class:`repro.obs.Tracer`, optional) records host-side
     spans for the run; results are identical with tracing on or off.
+    ``workers`` is accepted only for the registry's uniform runner signature:
+    the service repairs serially, so it is unused.
     """
     trace = workload.materialize()
-    with StreamingService(
-        trace.initial, delta=delta, seed=seed, workers=workers, tracer=tracer
-    ) as service:
-        summary = service.apply_all(trace.batches)
-        service.verify()
+    service = StreamingService(trace.initial, delta=delta, seed=seed, tracer=tracer)
+    summary = service.apply_all(trace.batches)
+    service.verify()
 
     snapshot = service.dynamic.snapshot()
     bounds = arboricity_bounds(snapshot, exact_density=False)
@@ -101,14 +101,13 @@ def run_batch_size_experiment(
     S2 suite holds the total update budget fixed while the batch size varies,
     so rows are directly comparable.  The headline metric is
     ``rounds_per_update`` — total simulated MPC rounds (delivery + repair
-    primitives + compaction + rebuilds) over total updates.
+    primitives + compaction + rebuilds) over total updates.  ``workers`` is
+    accepted only for the registry's uniform runner signature (unused).
     """
     trace = workload.materialize()
-    with StreamingService(
-        trace.initial, delta=delta, seed=seed, workers=workers, tracer=tracer
-    ) as service:
-        summary = service.apply_all(trace.batches)
-        service.verify()
+    service = StreamingService(trace.initial, delta=delta, seed=seed, tracer=tracer)
+    summary = service.apply_all(trace.batches)
+    service.verify()
 
     snapshot = service.dynamic.snapshot()
     bounds = arboricity_bounds(snapshot, exact_density=False)

@@ -56,7 +56,6 @@ __all__ = [
     "sum_sizes",
     "count_distinct",
     "assemble_color_columns",
-    "flip_repair_group",
     "build_csr",
     "encode_edge_keys",
     "first_monochrome",
@@ -286,16 +285,3 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
     return _module(backend).validate_batch(
         num_vertices, ops, us, vs, base_keys, added_keys, removed_keys
     )
-
-
-def flip_repair_group(shard, group_updates, cap, choose_tail, backend=None):
-    """Replay one cap-safe conflict group against its out-table shard.
-
-    ``shard`` maps each touched vertex to its sorted out-heads tuple;
-    ``choose_tail`` is the caller's tail-selection rule (injected so the
-    stream module keeps exactly one definition of it).  Returns
-    ``(new_shard, freed)`` with sorted python-int head lists and the freed
-    tails in deletion order — the exact contract of the process backend's
-    sharded repair task.
-    """
-    return _module(backend).flip_repair_group(shard, group_updates, cap, choose_tail)

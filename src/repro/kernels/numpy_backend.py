@@ -365,59 +365,3 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
 
 def _canonical(u, v):
     return (u, v) if u < v else (v, u)
-
-
-def flip_repair_group(shard, group_updates, cap, choose_tail):
-    """Sharded group replay over sorted head vectors.
-
-    The per-update decision sequence is inherently serial (each tail choice
-    depends on the outdegrees the previous updates produced), so the loop
-    structure matches the reference; the data movement around it — shard
-    decode, membership tests (``searchsorted`` on sorted vectors), head
-    insertion/removal, and the final sorted-list encode — is numpy.  Output
-    (including error messages) is byte-identical to the pure kernel.
-    """
-    out = {
-        vertex: np.asarray(heads, dtype=_DTYPE)
-        for vertex, heads in shard.items()
-    }
-    freed: list[int] = []
-
-    def contains(arr, x):
-        i = int(np.searchsorted(arr, x))
-        return i < arr.size and arr[i] == x, i
-
-    for update in group_updates:
-        u, v = update.u, update.v
-        if update.is_insert:
-            v_in_u, _ = contains(out[u], v)
-            u_in_v, _ = contains(out[v], u)
-            if v_in_u or u_in_v:
-                raise GraphError(
-                    f"insert of already-oriented edge {_canonical(u, v)} "
-                    f"without a mid-batch rebuild: orientation drifted from "
-                    f"the live edge set"
-                )
-            tail = choose_tail(u, v, out[u].size, out[v].size)
-            head = v if tail == u else u
-            arr = out[tail]
-            pos = int(np.searchsorted(arr, head))
-            out[tail] = np.insert(arr, pos, head)
-            if out[tail].size > cap:
-                raise GraphError(
-                    f"cap overflow at vertex {tail} inside a conflict-free "
-                    f"group — the safety precheck is broken"
-                )
-        else:
-            v_in_u, pos_u = contains(out[u], v)
-            if v_in_u:
-                out[u] = np.delete(out[u], pos_u)
-                freed.append(u)
-            else:
-                u_in_v, pos_v = contains(out[v], u)
-                if u_in_v:
-                    out[v] = np.delete(out[v], pos_v)
-                    freed.append(v)
-                else:
-                    raise GraphError(f"edge {_canonical(u, v)} is not oriented")
-    return {vertex: arr.tolist() for vertex, arr in out.items()}, freed

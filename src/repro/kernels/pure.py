@@ -313,53 +313,3 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
         if not is_insert and not live:
             raise GraphError(f"batch update #{index}: delete of dead edge {e}")
         pending[e] = is_insert
-
-
-def _canonical(u, v):
-    # Inline normalize_edge: kernels must not import repro.graph (the graph
-    # core imports this package), and the message only needs the tuple repr.
-    return (u, v) if u < v else (v, u)
-
-
-def flip_repair_group(shard, group_updates, cap, choose_tail):
-    """Replay one cap-safe conflict group against its out-table shard.
-
-    The reference body of the process backend's sharded repair task: the
-    updates are applied against the shard alone, and the mutated shard plus
-    the freed tails (deletion order) are returned.  ``choose_tail`` is the
-    stream module's single tail-selection rule — injected rather than
-    duplicated, so the safety precheck and both kernel backends replay the
-    exact same decisions.  Cap-safety was proved by the precheck, so an
-    overflow — or an insert/delete that does not match the shard — means the
-    precheck or the shard extraction is broken, and the kernel raises rather
-    than returning a corrupt shard.
-    """
-    out = {vertex: set(heads) for vertex, heads in shard.items()}
-    freed: list[int] = []
-    for update in group_updates:
-        u, v = update.u, update.v
-        if update.is_insert:
-            if v in out[u] or u in out[v]:
-                raise GraphError(
-                    f"insert of already-oriented edge {_canonical(u, v)} "
-                    f"without a mid-batch rebuild: orientation drifted from "
-                    f"the live edge set"
-                )
-            tail = choose_tail(u, v, len(out[u]), len(out[v]))
-            head = v if tail == u else u
-            out[tail].add(head)
-            if len(out[tail]) > cap:
-                raise GraphError(
-                    f"cap overflow at vertex {tail} inside a conflict-free "
-                    f"group — the safety precheck is broken"
-                )
-        else:
-            if v in out[u]:
-                out[u].discard(v)
-                freed.append(u)
-            elif u in out[v]:
-                out[v].discard(u)
-                freed.append(v)
-            else:
-                raise GraphError(f"edge {_canonical(u, v)} is not oriented")
-    return {vertex: sorted(heads) for vertex, heads in out.items()}, freed

@@ -49,7 +49,7 @@ goes through :meth:`MPCCluster.charge_rounds` with a descriptive label.
 
 **Parallel task fan-out** (:mod:`repro.engine`) adds a third channel for
 work that the model executes *simultaneously* — the Lemma 2.1 edge-partition
-parts, vertex-disjoint flip-repair groups.  Charging such tasks sequentially
+parts, the tenants served in one engine tick.  Charging such tasks sequentially
 on the shared ledger would overstate rounds by a factor of the task count;
 instead each task records into its own **sub-ledger**: :meth:`MPCCluster.fork`
 creates an empty child cluster with identical provisioning, the task runs

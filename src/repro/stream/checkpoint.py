@@ -7,9 +7,9 @@ behavior-affecting column — each tenant's ``DynamicGraph`` base + journal
 columns, orientation heads/λ̂/cap, coloring column, sub-ledger
 ``RoundStats``, queue, lifecycle state, plus the shared ledger, planner
 credits, and tick history — and a restored engine is indistinguishable from
-one that never stopped.  Host-side resources (executors, pools, shard scope
-keys, shared-memory segments) are deliberately **not** state: they are
-re-provisioned on restore and cannot influence simulated outcomes.
+one that never stopped.  Host-side resources (the engine's tick executor)
+are deliberately **not** state: they are re-provisioned on restore and
+cannot influence simulated outcomes.
 
 File format (version |VERSION|)::
 
@@ -47,7 +47,7 @@ import json
 import os
 from collections import deque
 
-from repro.engine import ParallelExecutor, WorkerPool
+from repro.engine import ParallelExecutor
 from repro.errors import CheckpointError, GraphError, QuotaExceededError, ReproError
 from repro.mpc.cluster import MPCCluster
 from repro.stream.engine import StreamEngine, TenantState, TickReport, _Tenant
@@ -354,14 +354,8 @@ def restore_engine(
                     )
                 service = None
             else:
-                tenant_pool = WorkerPool(
-                    workers=1, registry=engine._ensure_pool().registry
-                )
-                if engine.tracer.enabled:
-                    tenant_pool.instrument(engine.tracer)
                 service = StreamingService.from_state(
                     state["service"],
-                    pool=tenant_pool,
                     tracer=engine.tracer if engine.tracer.enabled else None,
                 )
             tenant = _Tenant(

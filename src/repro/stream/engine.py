@@ -17,11 +17,11 @@ on one shared :class:`~repro.engine.ParallelExecutor` and one shared
 * **Ticks.**  Batches are queued per tenant with :meth:`StreamEngine.submit`;
   :meth:`StreamEngine.tick` serves the head batch of each *scheduled* tenant
   as parallel tasks on the shared executor (tenant states are disjoint, so
-  any in-process backend is safe; tenants repair their own batches serially
-  to keep the engine's pool the only one).  The shared ledger charges each
-  tick by folding the tenants' tick-delta sub-ledgers with
-  ``merge_parallel`` — **aggregate rounds = max over the tenants served in
-  the tick**, volume = sum, memory = sum of tenant peaks — while tenant
+  any in-process backend is safe; each tenant repairs its own batch
+  serially).  The shared ledger charges each tick by folding the tenants'
+  tick-delta sub-ledgers with ``merge_parallel`` — **aggregate rounds = max
+  over the tenants served in the tick**, volume = sum, memory = sum of
+  tenant peaks — while tenant
   registration (the initial orientation build) folds sequentially, since
   tenants register one after another.  See the charging-model docstring in
   :mod:`repro.mpc.cluster`.
@@ -107,7 +107,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.engine import IN_PROCESS, THREAD, ParallelExecutor, WorkerPool, derive_seed
+from repro.engine import IN_PROCESS, THREAD, ParallelExecutor, derive_seed
 from repro.errors import GraphError, LifecycleError, QuotaExceededError, ReproError
 from repro.obs.tracer import NULL_TRACER
 from repro.graph.graph import Graph
@@ -273,9 +273,9 @@ class StreamEngine:
         See :mod:`repro.stream.scheduler` for the admission contract.
     tracer:
         Optional :class:`repro.obs.Tracer`.  Instruments the executor, the
-        pool registry, the shared ledger and every tenant service, and wraps
-        each tick in a span annotated with the planner's decisions (who was
-        planned, deferred, quarantined, and why the budget said so).
+        shared ledger and every tenant service, and wraps each tick in a
+        span annotated with the planner's decisions (who was planned,
+        deferred, quarantined, and why the budget said so).
         Observation only: outcomes are byte-identical with tracing on or off.
     """
 
@@ -308,7 +308,6 @@ class StreamEngine:
         if round_budget is not None and round_budget < 1:
             raise GraphError("round_budget must be at least 1 (or None to disable)")
         self.round_budget = round_budget
-        self._pool: WorkerPool | None = None
         self._tenants: dict[str, _Tenant] = {}
         self.summary = StreamSummary()
         self.ticks: list[TickReport] = []
@@ -324,22 +323,6 @@ class StreamEngine:
         """Errors the background ticker absorbed (most recent 64).  A failed
         batch stays queued (the tick contract), so the same error may repeat
         until the operator intervenes — quarantine, retire, or drop it."""
-
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The engine-owned worker pool (``None`` until the first tenant)."""
-        return self._pool
-
-    def _ensure_pool(self) -> WorkerPool:
-        """Create the engine's pool lazily — no registry, segments or worker
-        processes exist until a tenant needs them; :meth:`close` (and, as
-        backstops, a finalizer and an ``atexit`` sweep in
-        :mod:`repro.engine.shm`) guarantees the segments are unlinked."""
-        if self._pool is None:
-            self._pool = WorkerPool(executor=self._executor)
-            if self.tracer.enabled:
-                self._pool.instrument(self.tracer)
-        return self._pool
 
     # ------------------------------------------------------------------ #
     # Tenant management
@@ -440,15 +423,6 @@ class StreamEngine:
         tenant_seed = (
             seed if seed is not None else derive_seed(self._seed, len(self._tenants))
         )
-        # Each tenant gets a *derived* pool: its own (serial) repair executor
-        # — tick tasks already run on the engine's thread pool, and nesting a
-        # tenant's repair onto that same pool could deadlock it — but the
-        # engine pool's shard registry, borrowed, so every tenant's shard
-        # publications live (scoped, collision-free) in one registry whose
-        # lifetime the engine owns.
-        tenant_pool = WorkerPool(workers=1, registry=self._ensure_pool().registry)
-        if self.tracer.enabled:
-            tenant_pool.instrument(self.tracer)
         service = StreamingService(
             initial,
             delta=self._delta,
@@ -457,7 +431,6 @@ class StreamEngine:
             seed=tenant_seed,
             cluster=ledger,
             maintain_coloring=maintain_coloring,
-            pool=tenant_pool,
             proactive_flips=proactive_flips,
             lambda_seed=lambda_seed,
             tracer=self.tracer if self.tracer.enabled else None,
@@ -524,22 +497,18 @@ class StreamEngine:
         Allowed from every live state (an operator retires quarantined
         tenants too); retiring twice raises
         :class:`~repro.errors.LifecycleError`.  The tenant's queued batches
-        are dropped, its service is closed (shard scopes retired, pool
-        released — the engine's shared registry is only borrowed and
-        survives), and its rounds stay in the shared ledger: the work
-        happened.  Returns the tenant's final per-batch summary.  The name
-        stays registered (and un-reusable) so seed derivation for future
-        tenants is unaffected.
+        are dropped, its service is released, and its rounds stay in the
+        shared ledger: the work happened.  Returns the tenant's final
+        per-batch summary.  The name stays registered (and un-reusable) so
+        seed derivation for future tenants is unaffected.
         """
         with self._lock:
             tenant = self._tenant(name)
             self._transition(tenant, TenantState.RETIRED)
             dropped = len(tenant.queue)
             tenant.queue.clear()
-            service = tenant.service
-            tenant.final_summary = service.summary
+            tenant.final_summary = tenant.service.summary
             tenant.service = None
-            service.close()
             metrics = self.tracer.metrics
             if metrics.enabled:
                 metrics.inc("engine.tenants_retired")
@@ -1113,9 +1082,9 @@ class StreamEngine:
         """Run every tenant's invariant checks (raises on the first drift).
 
         The re-raised error names the failing tenant and carries the engine
-        pool's health snapshot (:meth:`repro.engine.WorkerPool.stats`), so a
-        pool-related failure — dead workers, respawn churn, stale shard
-        generations — is diagnosable from the exception alone.
+        executor's health snapshot (:meth:`repro.engine.ParallelExecutor.stats`),
+        so an executor-related failure — dead workers, respawn churn — is
+        diagnosable from the exception alone.
         """
         for tenant in self._tenants.values():
             if tenant.service is None:
@@ -1123,18 +1092,16 @@ class StreamEngine:
             try:
                 tenant.service.verify()
             except GraphError as exc:
-                pool_stats = self._pool.stats() if self._pool is not None else {}
                 raise GraphError(
-                    f"tenant {tenant.name!r}: {exc} [pool {pool_stats}]"
+                    f"tenant {tenant.name!r}: {exc} [pool {self._executor.stats()}]"
                 ) from exc
 
     def close(self) -> None:
-        """Release every tenant, the engine pool's segments, the executor.
+        """Stop the ticker and release the engine-owned executor.
 
         Idempotent, and safe with a live ticker: the ticker thread is stopped
-        and joined before anything it could touch is released, so double
-        close (or close-with-live-ticker) leaks neither the pool nor the
-        thread.
+        and joined before the executor is released, so double close (or
+        close-with-live-ticker) leaks neither the executor nor the thread.
         """
         if self._closed:
             return
@@ -1143,11 +1110,6 @@ class StreamEngine:
             if self._closed:
                 return
             self._closed = True
-        for tenant in self._tenants.values():
-            if tenant.service is not None:
-                tenant.service.close()
-        if self._pool is not None:
-            self._pool.close()
         if self._owns_executor:
             self._executor.close()
 

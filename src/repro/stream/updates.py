@@ -126,9 +126,10 @@ class UpdateBatch:
 class BatchReport:
     """What one batch cost, and where the maintained structures ended up.
 
-    ``conflict_groups`` / ``parallel_groups`` describe the batch-parallel
-    repair plan: how many vertex-disjoint conflict groups the batch split
-    into and how many of them were cap-safe (resolved concurrently);
+    ``conflict_groups`` / ``parallel_groups`` describe the batch repair
+    plan: how many vertex-disjoint conflict groups the batch split into, and
+    how many of them were cap-safe groups, run first (the name is kept
+    because checkpoint payloads and experiment rows carry it);
     ``proactive_flips`` counts deletion-triggered opportunistic flips (a
     subset of ``flips``).
 

@@ -291,32 +291,15 @@ class TestSegmentCleanup:
         assert pool.registry.segment_names() == ()
         assert not any(_segment_exists(name) for name in names)
 
-    def test_derived_pool_close_leaves_the_borrowed_registry_alive(self):
-        with WorkerPool(workers=1) as owner:
-            derived = WorkerPool(workers=1, registry=owner.registry)
-            scope_a = derived.allocate_scope("s-")
-            scope_b = owner.allocate_scope("s-")
-            assert scope_a != scope_b  # one counter for all co-resident pools
-            handle = derived.publish_out_shards(scope_a, [{0: (1, 2)}])
-            owner.registry.ensure_shared(handle)
-            names = owner.registry.segment_names()
-            derived.close()
-            # The borrower released nothing it did not own.
-            assert owner.registry.segment_names() == names
-            assert shm.out_shard(handle, 0) == {0: (1, 2)}
-        assert not any(_segment_exists(name) for name in names)
-
-    def test_stream_engine_close_unlinks_its_registry(self):
-        initial = union_of_random_forests(48, arboricity=2, seed=3)
-        engine = StreamEngine(seed=5)
-        engine.add_tenant("t", initial)
-        pool = engine.pool
-        assert pool is not None  # tenants borrow the engine registry
-        handle = pool.publish_out_shards(pool.allocate_scope("probe-"), [{0: (1,)}])
+    def test_out_shards_read_back_then_unlink_on_close(self):
+        shards = [{0: (1, 2), 3: ()}, {}, {5: (4,)}]
+        pool = WorkerPool(workers=1)
+        handle = pool.publish_out_shards("out-", shards)
         pool.registry.ensure_shared(handle)
         names = pool.registry.segment_names()
         assert names and all(_segment_exists(name) for name in names)
-        engine.close()
+        assert [shm.out_shard(handle, i) for i in range(len(shards))] == shards
+        pool.close()
         assert pool.registry.segment_names() == ()
         assert not any(_segment_exists(name) for name in names)
 

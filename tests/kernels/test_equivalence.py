@@ -16,12 +16,11 @@ from array import array
 import pytest
 
 from repro import kernels
-from repro.errors import GraphError, InvalidOrientationError
+from repro.errors import InvalidOrientationError
 from repro.graph.generators import (
     planted_dense_subgraph,
     union_of_random_forests,
 )
-from repro.stream.updates import EdgeUpdate
 
 pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy not importable"
@@ -214,72 +213,3 @@ class TestPaletteAssembly:
     def test_no_parts(self):
         pure, vec = both("assemble_color_columns", 3, [])
         assert pure == vec == (array("l", [-1, -1, -1]), [0])
-
-
-def _reference_choose_tail(u, v, du, dv):
-    return u if du <= dv else v
-
-
-def _random_group(rng, vertices, shard):
-    """A random, *legal* update sequence over one conflict group's vertices."""
-    live = {
-        (min(v, h), max(v, h)) for v, heads in shard.items() for h in heads
-    }
-    updates = []
-    for _ in range(40):
-        u, v = rng.sample(vertices, 2)
-        e = (min(u, v), max(u, v))
-        if e in live:
-            live.discard(e)
-            updates.append(EdgeUpdate("-", u, v))
-        else:
-            live.add(e)
-            updates.append(EdgeUpdate("+", u, v))
-    return updates
-
-
-class TestFlipRepairGroup:
-    def test_random_groups_identical(self):
-        rng = random.Random(123)
-        vertices = list(range(10))
-        for trial in range(20):
-            shard = {}
-            live = set()
-            for v in vertices:
-                heads = rng.sample([w for w in vertices if w != v], rng.randrange(3))
-                heads = [h for h in heads if (min(v, h), max(v, h)) not in live]
-                live.update((min(v, h), max(v, h)) for h in heads)
-                shard[v] = tuple(sorted(heads))
-            updates = _random_group(rng, vertices, shard)
-            pure, vec = both(
-                "flip_repair_group", shard, updates, 100, _reference_choose_tail
-            )
-            assert pure == vec, f"trial {trial} diverged"
-            new_shard, freed = pure
-            assert all(isinstance(h, int) for hs in vec[0].values() for h in hs)
-            assert all(heads == sorted(heads) for heads in new_shard.values())
-
-    def test_error_messages_identical(self):
-        shard = {0: (1,), 1: (), 2: ()}
-        cases = [
-            # Insert of an edge the shard already orients.
-            [EdgeUpdate("+", 0, 1)],
-            # Delete of an edge nobody orients.
-            [EdgeUpdate("-", 1, 2)],
-        ]
-        for updates in cases:
-            pure_err, numpy_err = both_raise(
-                "flip_repair_group", shard, updates, 10, _reference_choose_tail
-            )
-            assert isinstance(pure_err, GraphError)
-            assert type(pure_err) is type(numpy_err)
-            assert str(pure_err) == str(numpy_err)
-
-    def test_cap_overflow_message_identical(self):
-        shard = {0: (), 1: (), 2: (), 3: ()}
-        updates = [EdgeUpdate("+", 0, 1), EdgeUpdate("+", 0, 2), EdgeUpdate("+", 0, 3)]
-        pure_err, numpy_err = both_raise(
-            "flip_repair_group", shard, updates, 1, lambda u, v, du, dv: u
-        )
-        assert "cap overflow" in str(pure_err)
-        assert str(pure_err) == str(numpy_err)

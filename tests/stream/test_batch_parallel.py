@@ -1,12 +1,13 @@
-"""Batch-parallel flip repair: conflict groups, determinism, proactive flips."""
+"""Batch flip repair: conflict groups, group order, proactive flips."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from repro.engine import PROCESS, SERIAL, THREAD, ParallelExecutor
+from repro.errors import GraphError
 from repro.graph.generators import union_of_random_forests
 from repro.graph.graph import Graph
 from repro.stream.dynamic_graph import DynamicGraph
@@ -96,8 +97,6 @@ class TestApplyBatch:
         """Without a mid-batch rebuild, a delete of an unoriented edge (or an
         insert of an oriented one) means the orientation drifted from the
         live edge set — the batch path must raise like delete() does."""
-        from repro.errors import GraphError
-
         dynamic = DynamicGraph.empty(6)
         orientation = IncrementalOrientation(dynamic)
         dynamic.add_edge(0, 1)
@@ -114,10 +113,60 @@ class TestApplyBatch:
         with pytest.raises(GraphError, match="drifted"):
             orientation2.apply_batch(UpdateBatch.from_ops([("+", 0, 1)]).updates)
 
+    @staticmethod
+    def _hand_built(num_vertices, directed_edges, cap):
+        """An orientation holding exactly ``directed_edges`` (tail, head)."""
+        dynamic = DynamicGraph.empty(num_vertices)
+        orientation = IncrementalOrientation(dynamic, lambda_bound=cap // 2, flip_slack=2)
+        assert orientation.outdegree_cap == cap
+        for tail, head in directed_edges:
+            dynamic.add_edge(tail, head)
+            orientation._out[tail].add(head)
+            orientation._outdeg[tail] += 1
+        return dynamic, orientation
+
+    @pytest.mark.parametrize(
+        "directed_edges, ops, message",
+        [
+            # Insert of an edge the orientation already holds.
+            ([(0, 1)], [("+", 0, 1)], "drifted"),
+            # Delete of an edge nobody orients.
+            ([], [("-", 0, 1)], "not oriented"),
+            # A group run without repair that overflows the cap.
+            ([(0, 2), (0, 3), (1, 4), (1, 5)], [("+", 0, 1)], "precheck is broken"),
+        ],
+        ids=["insert-drift", "delete-unoriented", "cap-overflow"],
+    )
+    def test_cap_safe_group_apply_rejects_drift(self, directed_edges, ops, message):
+        """The in-process guards of a group run without repair: drift raises
+        like the per-update path, and a cap overflow means the precheck is
+        broken, so it raises instead of starting a flip search."""
+        _dynamic, orientation = self._hand_built(6, directed_edges, cap=2)
+        group = list(UpdateBatch.from_ops(ops).updates)
+        with pytest.raises(GraphError, match=message):
+            orientation._apply_group(group, allow_repair=False, rebuilds_before=0)
+
+    def test_cap_safe_groups_run_before_flip_path_groups(self):
+        """Group 0 needs a flip path that can end at vertex 2, which group 1
+        (cap-safe) touches.  Cap-safe groups run first, so group 1 claims
+        2's spare slot and the flip path ends at 3 instead; group order
+        would flip 2 -> 0 and then orient {2, 6} out of 6."""
+        edges = [(0, 2), (0, 3), (1, 4), (1, 5), (2, 8), (6, 9)]
+        dynamic, orientation = self._hand_built(10, edges, cap=2)
+        batch = UpdateBatch.from_ops([("+", 0, 1), ("+", 2, 6)])
+        dynamic.apply_ops(*batch.columns())
+        report = orientation.apply_batch(batch.updates)
+        assert (report.num_groups, report.parallel_groups) == (2, 1)
+        assert orientation.head(2, 6) == 6
+        assert orientation.head(0, 3) == 0
+        assert orientation.head(0, 2) == 2
+        assert orientation.flips == 1
+        assert orientation.max_outdegree() <= orientation.outdegree_cap
+
 
 class TestServiceDeterminism:
-    """ISSUE 3 satellite: same seed ⇒ byte-identical structures for any
-    worker count, on every trace family (including rebuild-heavy ones)."""
+    """Same seed, same trace ⇒ byte-identical structures, on every trace
+    family (including rebuild-heavy ones)."""
 
     @staticmethod
     def _fingerprint(service: StreamingService):
@@ -128,6 +177,7 @@ class TestServiceDeterminism:
             service.orientation.opportunistic_flips,
             service.orientation.rebuilds,
             service.cluster.stats.num_rounds,
+            tuple(report.parallel_groups for report in service.summary.reports),
         )
 
     @pytest.mark.parametrize(
@@ -141,92 +191,27 @@ class TestServiceDeterminism:
         ],
         ids=["churn", "window", "densify"],
     )
-    def test_workers_1_2_4_identical(self, make_trace, kernel_backend):
-        # ``kernel_backend`` (ISSUE 8) re-runs the sweep per kernel backend;
-        # the fingerprints must agree across workers *and* kernels.
-        fingerprints = []
-        for workers in (1, 2, 4):
-            trace = make_trace()
-            service = StreamingService(trace.initial, seed=7, workers=workers)
-            service.apply_all(trace.batches)
-            service.verify()
-            fingerprints.append(self._fingerprint(service))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-    def test_explicit_thread_executor_matches_serial(self):
-        results = []
-        for executor in (
-            ParallelExecutor(workers=1, backend=SERIAL),
-            ParallelExecutor(workers=4, backend=THREAD),
-        ):
-            trace = densifying_core_trace(80, core_size=24, num_batches=5,
-                                          batch_size=90, seed=6)
-            service = StreamingService(trace.initial, seed=1, executor=executor)
-            service.apply_all(trace.batches)
-            service.verify()
-            results.append(self._fingerprint(service))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize(
-        "make_trace",
-        [
-            lambda: uniform_churn_trace(192, num_batches=4, batch_size=150, seed=2),
-            lambda: densifying_core_trace(96, core_size=32, num_batches=5,
-                                          batch_size=100, seed=4),
-        ],
-        ids=["churn", "densify"],
-    )
-    def test_process_backend_matches_serial(self, make_trace):
-        """ISSUE 4: cap-safe groups run under the process backend via
-        out-table sharding with the exact same determinism contract."""
-
-        class RecordingExecutor(ParallelExecutor):
-            """Counts maps of the shared-memory sharded task so the test
-            proves the process branch ran (``parallel_groups`` alone would
-            stay positive even if the branch degraded to the serial loop)."""
-
-            def __init__(self):
-                super().__init__(workers=4, backend=PROCESS)
-                self.sharded_maps = 0
-
-            def map(self, fn, tasks, total_work=None, backend=None):
-                tasks = [tuple(args) for args in tasks]
-                if fn.__name__ == "_apply_group_shm":
-                    self.sharded_maps += 1
-                return super().map(fn, tasks, total_work=total_work, backend=backend)
+    def test_state_roundtrip_mid_trace_is_byte_identical(self, make_trace):
+        """A service rebuilt from a JSON round trip of its state halfway
+        through a trace finishes exactly where the uninterrupted one does."""
+        trace = make_trace()
+        uninterrupted = StreamingService(trace.initial, seed=7)
+        uninterrupted.apply_all(trace.batches)
+        uninterrupted.verify()
 
         trace = make_trace()
-        with StreamingService(trace.initial, seed=7) as serial_service:
-            serial_service.apply_all(trace.batches)
-            serial_service.verify()
-            expected = self._fingerprint(serial_service)
-
-        trace = make_trace()
-        recording = RecordingExecutor()
-        with StreamingService(trace.initial, seed=7, executor=recording) as service:
-            service.apply_all(trace.batches)
-            service.verify()
-            assert self._fingerprint(service) == expected
-            assert recording.sharded_maps > 0  # the sharded path actually ran
-
-    def test_sharded_group_apply_rejects_drift(self):
-        """The sharded twin raises on the same drift the in-process path
-        does, instead of returning a corrupt shard."""
-        from repro.errors import GraphError
-        from repro.stream.orientation import _apply_group_sharded
-
-        updates = UpdateBatch.from_ops([("+", 0, 1)]).updates
-        with pytest.raises(GraphError, match="drifted"):
-            _apply_group_sharded({0: (1,), 1: ()}, list(updates), cap=4)
-        deletes = UpdateBatch.from_ops([("-", 0, 1)]).updates
-        with pytest.raises(GraphError, match="not oriented"):
-            _apply_group_sharded({0: (), 1: ()}, list(deletes), cap=4)
-        with pytest.raises(GraphError, match="precheck is broken"):
-            _apply_group_sharded({0: (2, 3), 1: (4, 5)}, list(updates), cap=2)
+        half = len(trace.batches) // 2
+        first = StreamingService(trace.initial, seed=7)
+        first.apply_all(trace.batches[:half])
+        state = json.loads(json.dumps(first.state_dict()))
+        resumed = StreamingService.from_state(state)
+        resumed.apply_all(trace.batches[half:])
+        resumed.verify()
+        assert self._fingerprint(resumed) == self._fingerprint(uninterrupted)
 
     def test_parallel_groups_are_reported(self):
         trace = uniform_churn_trace(256, num_batches=3, batch_size=150, seed=8)
-        service = StreamingService(trace.initial, seed=8, workers=2)
+        service = StreamingService(trace.initial, seed=8)
         summary = service.apply_all(trace.batches)
         assert all(r.conflict_groups >= r.parallel_groups for r in summary.reports)
         assert sum(r.parallel_groups for r in summary.reports) > 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ParallelExecutor
 from repro.errors import GraphError
 from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.generators import complete_graph, union_of_random_forests
@@ -47,12 +46,20 @@ class TestSeedValue:
         assert seed_lambda_from_coreness(Graph.empty(0)) == 1
         assert seed_lambda_from_coreness(Graph.empty(5)) == 1
 
-    def test_executor_fanout_matches_serial(self):
+    def test_seed_and_charge_follow_the_ladder_definition(self):
+        """Seed ``2·g*`` for the smallest clearing guess; charge the max
+        rounds over *all* guesses plus one combine, as if run in parallel."""
+        from repro.core.coreness import geometric_guesses
+
         graph = union_of_random_forests(200, arboricity=3, seed=7)
-        with ParallelExecutor(workers=2) as executor:
-            assert seed_lambda_from_coreness(graph, executor=executor) == (
-                seed_lambda_from_coreness(graph)
-            )
+        guesses = geometric_guesses(graph.max_degree(), 0.5)
+        peels = [graph.peel_layers(2 * guess) for guess in guesses]
+        cleared = min(g for g, (layers, _) in zip(guesses, peels) if all(layers))
+        cluster = MPCCluster(MPCConfig.for_graph(graph))
+        assert seed_lambda_from_coreness(graph, cluster=cluster) == 2 * cleared
+        assert cluster.stats.rounds_by_label["stream:lambda-seed"] == (
+            max(rounds for _, rounds in peels) + 1
+        )
 
     def test_ladder_rounds_are_charged_to_the_cluster(self):
         graph = complete_graph(8)

@@ -105,14 +105,17 @@ class TestWorkersAndStream:
         assert main(["orient", str(path), "--quiet", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_stream_accepts_workers(self, capsys):
+    def test_stream_prints_one_row_per_batch_and_takes_no_workers(self, capsys):
         assert main([
             "stream", "uniform_churn", "96", "--batches", "3",
-            "--batch-size", "40", "--quiet", "--workers", "2",
+            "--batch-size", "40", "--quiet",
         ]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# batch")
         assert len(out.strip().splitlines()) == 4  # header + 3 batch rows
+        # Batch repair is serial: the knob is gone, not silently ignored.
+        with pytest.raises(SystemExit):
+            main(["stream", "uniform_churn", "96", "--workers", "2"])
 
     def test_color_workers_do_not_change_the_output(self, graph_file, capsys):
         path, _graph = graph_file
@@ -131,6 +134,13 @@ class TestStreamMulti:
         out = capsys.readouterr().out
         assert out.startswith("# tick")
         assert len(out.strip().splitlines()) == 4  # header + 3 tick rows
+
+    def test_stream_multi_workers_do_not_change_the_output(self, capsys):
+        argv = ["stream-multi", "96", "--tenants", "3", "--batches", "3", "--quiet"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_stream_multi_summary_reports_the_round_fold(self, capsys):
         assert main([
